@@ -18,13 +18,16 @@ test:
 # Race-detector pass over the concurrent packages (work-stealing
 # enumeration, the implication engine it snapshots, the shared analysis
 # manager, the two-pattern test generator, and the oracle/differential
-# harness that drives parallel fast passes).
+# harness that drives parallel fast passes). The enumeration and fleet
+# packages run at GOMAXPROCS 1 and 2, so parallel walkers and the
+# coordinator's full-width sort also interleave on two real cores.
 race:
-	$(GO) test -race ./internal/core ./internal/logic ./internal/analysis \
+	$(GO) test -race ./internal/logic ./internal/analysis \
 		./internal/tgen ./internal/oracle ./internal/oracle/diff \
 		./internal/serve ./internal/faultinject ./internal/cliutil \
-		./internal/fleet ./internal/fleet/journal ./internal/retry \
+		./internal/fleet/journal ./internal/retry \
 		./internal/telemetry ./internal/store
+	$(GO) test -race -cpu 1,2 ./internal/core ./internal/fleet
 
 # The deterministic fault-injection suite under the race detector:
 # admission failures, worker panics, budget evictions mid-run, spill
@@ -84,8 +87,7 @@ bench-identify:
 
 # Perf-regression gate: regenerate the identification artifact and fail
 # if any circuit's speedup or paths/sec throughput regressed beyond
-# tolerance against the committed baseline (readable in any artifact
-# version, including the pre-envelope format). The committed file is
+# tolerance against the committed baseline. The committed file is
 # stashed first because bench-identify overwrites it in place.
 bench-compare:
 	cp BENCH_identify.json BENCH_identify.baseline.json

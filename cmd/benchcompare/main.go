@@ -2,11 +2,9 @@
 // identification benchmark: it compares a freshly generated
 // BENCH_identify.json against a committed baseline and exits nonzero if
 // any circuit's cached speedup or paths/sec throughput regressed beyond
-// the tolerance. The baseline may be in any artifact version the
-// benchjson reader understands (v2, v1 envelope, or the pre-envelope
-// bare rows array); metrics the baseline lacks (paths_per_sec in legacy
-// files) are skipped rather than failed, so the gate tightens itself as
-// newer baselines are committed.
+// the tolerance. Both artifacts must be on the current benchjson schema.
+// A row whose baseline carries no paths_per_sec (a store hit walks no
+// paths) is gated on speedup alone.
 //
 // Usage:
 //

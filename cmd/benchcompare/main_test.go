@@ -13,8 +13,8 @@ func row(circuit string, speedup, pps float64) benchjson.IdentifyRow {
 }
 
 // TestCompareGate: the regression arithmetic — within-tolerance drift
-// passes, beyond-tolerance drift fails, missing circuits fail, metrics
-// the baseline lacks are skipped.
+// passes, beyond-tolerance drift fails, missing circuits fail, and a
+// paths/sec the baseline row lacks (a store-hit row) is skipped.
 func TestCompareGate(t *testing.T) {
 	base := []benchjson.IdentifyRow{row("c432", 2.0, 1e6), row("c880", 3.0, 2e6)}
 
@@ -47,11 +47,11 @@ func TestCompareGate(t *testing.T) {
 		}
 	})
 	t.Run("legacy-baseline-skips-pps", func(t *testing.T) {
-		legacy := []benchjson.IdentifyRow{row("c432", 2.0, 0)} // no paths/sec in old artifacts
+		noPPS := []benchjson.IdentifyRow{row("c432", 2.0, 0)} // a row with no paths/sec
 		cur := []benchjson.IdentifyRow{row("c432", 2.0, 1e6)}
 		var out strings.Builder
-		if n := compare(&out, legacy, cur, 0.85); n != 0 {
-			t.Fatalf("legacy baseline must skip paths/sec, got %d regressions", n)
+		if n := compare(&out, noPPS, cur, 0.85); n != 0 {
+			t.Fatalf("a baseline row without paths/sec must skip it, got %d regressions", n)
 		}
 		if !strings.Contains(out.String(), "skipped") {
 			t.Fatalf("skip not reported:\n%s", out.String())
@@ -59,9 +59,8 @@ func TestCompareGate(t *testing.T) {
 	})
 }
 
-// TestGoldenCompare: the passing-path output format against fixtures in
-// the three artifact generations (legacy bare-array baseline included —
-// the committed BENCH_identify.json predates the envelope).
+// TestGoldenCompare: the passing-path output format against v2 fixtures,
+// including a store-hit row whose paths/sec is skipped.
 func TestGoldenCompare(t *testing.T) {
 	golden := goldentest.Golden(t, "compare")
 	baseline := goldentest.Fixture(t, "baseline.json")

@@ -279,12 +279,9 @@ func (a *Analysis) PutEngine(e *logic.Engine) {
 // faultinject.PointAnalysisMemo (a KindError rule makes the derived-data
 // computation fail like an allocation would).
 func (a *Analysis) Memo(key string, f func() (any, error)) (any, error) {
-	a.memoMu.Lock()
-	if v, ok := a.memo[key]; ok {
-		a.memoMu.Unlock()
+	if v, ok := a.cached(key); ok {
 		return v, nil
 	}
-	a.memoMu.Unlock()
 
 	if err := faultinject.Fire(faultinject.PointAnalysisMemo); err != nil {
 		return nil, err
@@ -301,11 +298,20 @@ func (a *Analysis) Memo(key string, f func() (any, error)) (any, error) {
 
 	cell.mu.Lock()
 	if !cell.ran {
-		// Leader: run the computation, then retire the cell so completed
-		// state lives only in handle caches (Drop must stay able to
-		// forget it, and a failed run must be retryable).
+		// Leader: run the computation, publish a success to the handle
+		// cache, then retire the cell, so completed state lives only in
+		// handle caches (Drop must stay able to forget it, and a failed
+		// run must be retryable). Publishing before retiring leaves no
+		// moment with neither cell nor value; a caller that missed the
+		// cache before the publish and mints a fresh cell after the
+		// retirement finds the value on the re-check instead of running
+		// f again.
 		cell.ran = true
-		cell.v, cell.err = f()
+		if v, ok := a.cached(key); ok {
+			cell.v = v
+		} else if cell.v, cell.err = f(); cell.err == nil {
+			cell.v = a.publish(key, cell.v)
+		}
 		inflight.mu.Lock()
 		if inflight.m[k] == cell {
 			delete(inflight.m, k)
@@ -317,20 +323,31 @@ func (a *Analysis) Memo(key string, f func() (any, error)) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	return a.publish(key, v), nil
+}
 
+// cached returns the handle's completed memo value for key, if any.
+func (a *Analysis) cached(key string) (any, bool) {
 	a.memoMu.Lock()
+	defer a.memoMu.Unlock()
+	v, ok := a.memo[key]
+	return v, ok
+}
+
+// publish caches v for key on this handle unless a value is already
+// cached, and returns the cached one: every caller of a handle sees the
+// one value its earlier callers saw.
+func (a *Analysis) publish(key string, v any) any {
+	a.memoMu.Lock()
+	defer a.memoMu.Unlock()
+	if prev, ok := a.memo[key]; ok {
+		return prev
+	}
 	if a.memo == nil {
 		a.memo = make(map[string]any)
 	}
-	if prev, ok := a.memo[key]; ok {
-		// A racing follower cached first; serve the one value every
-		// earlier caller of this handle already saw.
-		v = prev
-	} else {
-		a.memo[key] = v
-	}
-	a.memoMu.Unlock()
-	return v, nil
+	a.memo[key] = v
+	return v
 }
 
 // registry is the global version-keyed LRU of Analysis handles.

@@ -8,24 +8,15 @@
 package benchjson
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 )
 
-// Schema versions. Encode always writes the current Schema; Decode
-// accepts every version listed here plus the pre-envelope legacy format
-// (a bare rows array, as committed baselines from before this package
-// existed still use) so dashboards and the perf-regression gate can read
-// old artifacts. v2 added the paths_per_sec headline and the hot-loop
-// allocation count to identify rows.
-const (
-	SchemaV1 = "rdfault-bench/v1"
-	SchemaV2 = "rdfault-bench/v2"
-	Schema   = SchemaV2
-)
+// Schema is the artifact version Encode writes and the only one Decode
+// accepts.
+const Schema = "rdfault-bench/v2"
 
 // Envelope wraps every benchmark artifact: a schema tag, the row kind,
 // and the rows themselves (deferred so Read can check the header before
@@ -64,10 +55,10 @@ type IdentifyCounters struct {
 }
 
 // IdentifyRow is one circuit's cached-vs-uncached measurement from
-// BenchmarkIdentifyCached. PathsPerSec and HotLoopAllocs are v2 fields
-// (absent, i.e. zero, in v1 and legacy artifacts): the headline
+// BenchmarkIdentifyCached. PathsPerSec is the headline
 // logical-paths-per-second rate of the cached pipeline (|LP(C)| divided
-// by warm per-op time), and the allocations of one warm enumeration
+// by warm per-op time), omitted for rows that walk no paths (a store
+// hit); HotLoopAllocs counts the allocations of one warm enumeration
 // pass — the flat engine's assign/backtrack path contributes zero, so
 // this counts only per-run envelope work (reports, counters).
 type IdentifyRow struct {
@@ -97,31 +88,18 @@ func Encode(w io.Writer, kind string, rows any) error {
 }
 
 // Decode checks the envelope's schema and kind, then unmarshals the rows
-// into dst (a pointer to a row slice). Every known schema version is
-// accepted. A document that is a bare JSON array is the pre-envelope
-// legacy format: it carries no schema or kind header to verify, so the
-// rows are unmarshaled directly — the caller's row type is the only
-// check (committed baselines written before this package existed are in
-// this form, and the perf-regression gate must still read them).
+// into dst (a pointer to a row slice).
 func Decode(r io.Reader, kind string, dst any) error {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return fmt.Errorf("benchjson: %v", err)
 	}
-	if t := bytes.TrimLeft(data, " \t\r\n"); len(t) > 0 && t[0] == '[' {
-		if err := json.Unmarshal(t, dst); err != nil {
-			return fmt.Errorf("benchjson: legacy rows: %v", err)
-		}
-		return nil
-	}
 	var env Envelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return fmt.Errorf("benchjson: %v", err)
 	}
-	switch env.Schema {
-	case SchemaV2, SchemaV1:
-	default:
-		return fmt.Errorf("benchjson: schema %q, want %q or %q", env.Schema, SchemaV2, SchemaV1)
+	if env.Schema != Schema {
+		return fmt.Errorf("benchjson: schema %q, want %q", env.Schema, Schema)
 	}
 	if env.Kind != kind {
 		return fmt.Errorf("benchjson: kind %q, want %q", env.Kind, kind)

@@ -79,53 +79,8 @@ func TestEnvelopeRejection(t *testing.T) {
 		t.Fatal("decoder accepted an unknown schema")
 	}
 	if err := Decode(strings.NewReader("[1,2,3]"), KindEnumerate, &rows); err == nil {
-		t.Fatal("decoder accepted a legacy array whose rows do not match the row type")
+		t.Fatal("decoder accepted a bare rows array with no envelope")
 	}
-}
-
-// TestLegacyAndV1Compatibility: the v2 reader must still parse the two
-// older artifact forms in the wild — a bare rows array (the committed
-// pre-envelope baselines) and a v1 envelope — with the v2-only fields
-// reading as zero.
-func TestLegacyAndV1Compatibility(t *testing.T) {
-	t.Run("legacy-bare-array", func(t *testing.T) {
-		legacy := `[
-  {
-    "circuit": "c432",
-    "uncached_ns_per_op": 10182824,
-    "cached_ns_per_op": 4407652,
-    "cached_cold_first_op_ns": 8061491,
-    "speedup": 2.31,
-    "uncached_allocs_per_op": 6178,
-    "cached_allocs_per_op": 308,
-    "counters": {"selected": [1495, 1390, 1358], "rd": ["3", "5", "9"], "segments": [70, 60, 50]}
-  }
-]`
-		var rows []IdentifyRow
-		if err := Decode(strings.NewReader(legacy), KindIdentify, &rows); err != nil {
-			t.Fatalf("legacy bare array rejected: %v", err)
-		}
-		if len(rows) != 1 || rows[0].Circuit != "c432" || rows[0].CachedNsOp != 4407652 {
-			t.Fatalf("legacy rows misread: %+v", rows)
-		}
-		if rows[0].PathsPerSec != 0 || rows[0].HotLoopAllocs != 0 {
-			t.Fatalf("v2-only fields must read as zero from legacy rows: %+v", rows[0])
-		}
-	})
-	t.Run("v1-envelope", func(t *testing.T) {
-		var buf bytes.Buffer
-		if err := Encode(&buf, KindIdentify, sampleIdentify()); err != nil {
-			t.Fatal(err)
-		}
-		v1 := strings.Replace(buf.String(), SchemaV2, SchemaV1, 1)
-		var rows []IdentifyRow
-		if err := Decode(strings.NewReader(v1), KindIdentify, &rows); err != nil {
-			t.Fatalf("v1 envelope rejected: %v", err)
-		}
-		if !reflect.DeepEqual(rows, sampleIdentify()) {
-			t.Fatalf("v1 rows misread:\nin  %+v\nout %+v", sampleIdentify(), rows)
-		}
-	})
 }
 
 // TestEnvelopeHeader: the written artifact leads with the schema tag so

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rdfault/internal/analysis"
+	"rdfault/internal/cacheline"
 	"rdfault/internal/circuit"
 	"rdfault/internal/faultinject"
 	"rdfault/internal/logic"
@@ -207,8 +208,13 @@ func (we *workerErrors) add(e *WorkerError) {
 	we.mu.Unlock()
 }
 
-// walker is the per-goroutine enumeration state.
+// walker is the per-goroutine enumeration state. A parallel run builds
+// its walkers back to back on one goroutine; the pads keep the counters
+// and buffer headers each walker writes per extension off every cache
+// line another walker (or any other allocation) occupies.
 type walker struct {
+	_ cacheline.Pad
+
 	c    *circuit.Circuit
 	cr   Criterion
 	opt  *Options
@@ -247,6 +253,8 @@ type walker struct {
 	limit      int64 // serial-mode budget; parallel uses shared.selected
 	stopped    bool
 	prog       *progressShard // live-progress slot; nil when untracked
+
+	_ cacheline.Pad
 }
 
 func newWalker(an *analysis.Analysis, cr Criterion, opt *Options, onPath func(paths.Logical)) *walker {
@@ -260,7 +268,7 @@ func newWalker(an *analysis.Analysis, cr Criterion, opt *Options, onPath func(pa
 		limit:  opt.Limit,
 	}
 	if opt.CollectLeadCounts {
-		w.leadCounts = make([]int64, c.NumLeads())
+		w.leadCounts = cacheline.Slab[int64](c.NumLeads())[0]
 	}
 	if opt.Exact {
 		w.sat = satsolver.New()

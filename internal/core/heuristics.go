@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/big"
 	"sort"
-	"sync"
 
 	"rdfault/internal/analysis"
 	"rdfault/internal/circuit"
@@ -49,13 +48,12 @@ func Heuristic2Sort(c *circuit.Circuit) (circuit.InputSort, *Result, *Result, er
 	return Heuristic2SortWorkers(c, 1)
 }
 
-// Heuristic2SortWorkers is Heuristic2Sort with a worker budget: the two
-// Algorithm 3 passes run concurrently, splitting the budget between them,
-// and each pass is internally parallel (work-stealing Enumerate). The
-// resulting sort is identical for every worker count — the per-lead
-// tallies are schedule-independent.
+// Heuristic2SortWorkers is Heuristic2Sort with a worker budget: each of
+// the two Algorithm 3 passes runs with the whole budget (work-stealing
+// Enumerate), one after the other. The resulting sort is identical for
+// every worker count — the per-lead tallies are schedule-independent.
 func Heuristic2SortWorkers(c *circuit.Circuit, workers int) (circuit.InputSort, *Result, *Result, error) {
-	return heuristic2SortCtx(c, workers, nil)
+	return Heuristic2SortContext(context.Background(), c, workers)
 }
 
 // heu2Passes bundles the memoized outcome of Algorithm 3: the sort plus
@@ -66,9 +64,9 @@ type heu2Passes struct {
 	tRes  *Result
 }
 
-// heuristic2SortCtx is Heuristic2SortWorkers with a cancellation context
-// for the two Algorithm 3 passes. An interrupted pass cannot yield a
-// sort, so interruption surfaces as the pass's terminal error
+// Heuristic2SortContext is Heuristic2SortWorkers bounded by ctx: the two
+// Algorithm 3 passes stop when ctx is done. An interrupted pass cannot
+// yield a sort, so interruption surfaces as the pass's terminal error
 // (ErrDeadline / ErrCanceled / the joined worker panics).
 //
 // The passes are deterministic and schedule-independent, so their
@@ -77,9 +75,9 @@ type heu2Passes struct {
 // the same circuit reuses them (only the final σ^π pass re-runs).
 // Failed or interrupted runs are never cached. The memoized sort and
 // Results are shared across callers — read-only.
-func heuristic2SortCtx(c *circuit.Circuit, workers int, ctx context.Context) (circuit.InputSort, *Result, *Result, error) {
+func Heuristic2SortContext(ctx context.Context, c *circuit.Circuit, workers int) (circuit.InputSort, *Result, *Result, error) {
 	v, err := analysis.For(c).Memo("core.heu2passes", func() (any, error) {
-		s, fsRes, tRes, err := heuristic2Passes(c, workers, ctx)
+		s, fsRes, tRes, err := heuristic2Passes(ctx, c, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -92,40 +90,26 @@ func heuristic2SortCtx(c *circuit.Circuit, workers int, ctx context.Context) (ci
 	return p.sort, p.fsRes, p.tRes, nil
 }
 
-// heuristic2Passes runs the two Algorithm 3 enumeration passes and
-// builds the sort; the uncached body behind heuristic2SortCtx.
-func heuristic2Passes(c *circuit.Circuit, workers int, ctx context.Context) (circuit.InputSort, *Result, *Result, error) {
-	var fsRes, tRes *Result
-	var fsErr, tErr error
-	if workers <= 1 {
-		fsRes, fsErr = Enumerate(c, FS, Options{CollectLeadCounts: true, Context: ctx})
-		if fsErr == nil {
-			tRes, tErr = Enumerate(c, NonRobust, Options{CollectLeadCounts: true, Context: ctx})
+// heuristic2Passes runs the two Algorithm 3 enumeration passes, FS then
+// NonRobust, each with the full worker budget, and builds the sort; the
+// uncached body behind Heuristic2SortContext. The passes run one after
+// the other rather than side by side on split budgets: on random
+// circuits FS often costs several times NonRobust (3 to 13 times on
+// the benchmark's fixed-seed ones), and a split leaves the NonRobust
+// half idle for the rest of the FS pass.
+func heuristic2Passes(ctx context.Context, c *circuit.Circuit, workers int) (circuit.InputSort, *Result, *Result, error) {
+	var res [2]*Result
+	for i, cr := range []Criterion{FS, NonRobust} {
+		r, err := Enumerate(c, cr, Options{CollectLeadCounts: true, Workers: workers, Context: ctx})
+		if err == nil && r.Status != StatusComplete {
+			err = r.Err
 		}
-	} else {
-		// Concurrent passes, each with half the budget (at least one).
-		half := workers / 2
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tRes, tErr = Enumerate(c, NonRobust, Options{CollectLeadCounts: true, Workers: workers - half, Context: ctx})
-		}()
-		fsRes, fsErr = Enumerate(c, FS, Options{CollectLeadCounts: true, Workers: half, Context: ctx})
-		wg.Wait()
+		if err != nil {
+			return circuit.InputSort{}, nil, nil, err
+		}
+		res[i] = r
 	}
-	if fsErr == nil && fsRes.Status != StatusComplete {
-		fsErr = fsRes.Err
-	}
-	if tErr == nil && tRes != nil && tRes.Status != StatusComplete {
-		tErr = tRes.Err
-	}
-	if fsErr != nil {
-		return circuit.InputSort{}, nil, nil, fsErr
-	}
-	if tErr != nil {
-		return circuit.InputSort{}, nil, nil, tErr
-	}
+	fsRes, tRes := res[0], res[1]
 	measure := make([]int64, c.NumLeads())
 	for i := range measure {
 		measure[i] = fsRes.LeadCounts[i] - tRes.LeadCounts[i]

@@ -110,10 +110,10 @@ func Identify(c *circuit.Circuit, h Heuristic, opt Options) (*Report, error) {
 	// One budget for the whole pipeline: fold Deadline into the context
 	// here so the sort passes and the final pass share it.
 	ctx := opt.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if opt.Deadline > 0 {
-		if ctx == nil {
-			ctx = context.Background()
-		}
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opt.Deadline)
 		defer cancel()
@@ -132,7 +132,7 @@ func Identify(c *circuit.Circuit, h Heuristic, opt Options) (*Report, error) {
 		sortDur = time.Since(t0)
 	case Heuristic2, Heuristic2Inverse:
 		t0 := time.Now()
-		s2, _, _, err := heuristic2SortCtx(c, opt.Workers, ctx)
+		s2, _, _, err := Heuristic2SortContext(ctx, c, opt.Workers)
 		if err != nil {
 			return nil, err
 		}

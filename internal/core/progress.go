@@ -3,13 +3,15 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+
+	"rdfault/internal/cacheline"
 )
 
-// paddedInt64 is an atomic counter padded to its own cache line so
+// paddedInt64 is an atomic counter padded to its own cache-line pair so
 // concurrently publishing walkers never false-share.
 type paddedInt64 struct {
 	atomic.Int64
-	_ [56]byte
+	_ [cacheline.Size - 8]byte
 }
 
 // Progress is a point-in-time snapshot of one enumeration's counters —

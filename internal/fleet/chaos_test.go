@@ -226,7 +226,7 @@ func TestChaosAllWorkersDeadFailsTyped(t *testing.T) {
 // the counters of the whole chain run on B alone.
 func TestChaosCheckpointMigratesAcrossWorkers(t *testing.T) {
 	c := gen.RippleAdder(6, gen.XorNAND)
-	sort, err := globalSort(c, core.Heuristic2)
+	sort, err := globalSort(context.Background(), c, core.Heuristic2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -339,9 +340,11 @@ func Run(ctx context.Context, cfg Config, c *circuit.Circuit, h core.Heuristic) 
 	var sort *circuit.InputSort
 	if h != core.HeuristicFUS {
 		criterion = core.SigmaPi
-		s, err := globalSort(c, h)
+		s, err := globalSort(ctx, c, h)
 		if err != nil {
-			return nil, err
+			// An interrupted sort fails typed: core.ErrDeadline or
+			// core.ErrCanceled.
+			return nil, fmt.Errorf("fleet: global sort: %w", err)
 		}
 		sort = &s
 	}
@@ -874,13 +877,15 @@ func storedConeAnswer(st *store.Store, key, name string, cr core.Criterion) *ser
 }
 
 // globalSort computes the whole-circuit input sort h prescribes — the
-// one sort every cone's projection derives from.
-func globalSort(c *circuit.Circuit, h core.Heuristic) (circuit.InputSort, error) {
+// one sort every cone's projection derives from. It runs before the
+// first dispatch, while the worker pool is idle, so Heuristic 2's passes
+// take every CPU the process may use; ctx bounds them.
+func globalSort(ctx context.Context, c *circuit.Circuit, h core.Heuristic) (circuit.InputSort, error) {
 	switch h {
 	case core.Heuristic1:
 		return core.Heuristic1Sort(c), nil
 	case core.Heuristic2, core.Heuristic2Inverse:
-		s, _, _, err := core.Heuristic2SortWorkers(c, 0)
+		s, _, _, err := core.Heuristic2SortContext(ctx, c, runtime.GOMAXPROCS(0))
 		if err != nil {
 			return circuit.InputSort{}, err
 		}

@@ -2,9 +2,11 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
+	"rdfault/internal/analysis"
 	"rdfault/internal/core"
 	"rdfault/internal/gen"
 	"rdfault/internal/retry"
@@ -167,5 +169,33 @@ func TestFleetPerConeOrderIsOutputsOrder(t *testing.T) {
 func TestFleetNoWorkersConfigured(t *testing.T) {
 	if _, err := Run(context.Background(), Config{Transport: &HTTPTransport{}}, gen.PaperExample(), core.Heuristic1); err == nil {
 		t.Fatal("Run accepted an empty worker list")
+	}
+}
+
+// TestFleetSortHonoursDeadline: the coordinator's Heuristic 2 sort runs
+// under Run's context. On the c5315 analogue, whose two sort passes take
+// about 0.4 s, a 1 ms deadline ends the run with a typed deadline error
+// long before the passes would finish, and no sort is left cached for
+// the next run to reuse.
+func TestFleetSortHonoursDeadline(t *testing.T) {
+	c := gen.ALUPipeline(12, gen.XorAOI) // c5315 analogue
+	defer analysis.Drop(c)
+	pool := newPool(t, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := Run(ctx, testConfig(pool, 0), c, core.Heuristic2)
+	elapsed := time.Since(start)
+	if !errors.Is(err, core.ErrDeadline) {
+		t.Fatalf("Run under a 1 ms deadline: err = %v, want core.ErrDeadline", err)
+	}
+	if elapsed > 150*time.Millisecond {
+		t.Fatalf("Run took %v to honour a 1 ms deadline", elapsed)
+	}
+	// Memo caches successes only, so an f that fails runs exactly when
+	// no sort passes were cached under their memo key.
+	errNotCached := errors.New("not cached")
+	if _, err := analysis.For(c).Memo("core.heu2passes", func() (any, error) { return nil, errNotCached }); err != errNotCached {
+		t.Fatalf("an interrupted sort was cached (Memo returned %v)", err)
 	}
 }

@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"rdfault/internal/cacheline"
 	"rdfault/internal/circuit"
 )
 
@@ -21,12 +22,22 @@ import (
 // (their length is bounded by the gate count), so the assign/backtrack
 // hot path performs zero allocations.
 //
+// Everything an assignment writes — the fields below, the value words,
+// the queue mask and the two arenas — is padded off every cache line
+// another allocation can occupy (package cacheline). Parallel walkers
+// build their engines back to back on one goroutine, and without the
+// padding their small value arrays and counters share lines: two cores
+// then trade those lines on every assign, and a two-worker pass burns up
+// to twice the CPU time of a serial one.
+//
 // RefEngine is the retained pointer-structure implementation; the two
 // are kept behaviorally identical (same implication rules, same LIFO
 // propagation order) and cross-checked by differential and fuzz tests.
 //
 // An Engine is not safe for concurrent use; create one per goroutine.
 type Engine struct {
+	_ cacheline.Pad
+
 	c *circuit.Circuit
 	f *circuit.Flat
 
@@ -43,22 +54,26 @@ type Engine struct {
 	confl   bool
 	nAssign int64 // statistics: total value assignments performed
 	nImply  int64 // assignments derived by implication
+
+	_ cacheline.Pad
 }
 
 // NewEngine returns an implication engine for c with all gates at X. The
 // immutable flat netlist layout is shared across every engine of the
 // circuit (built once per circuit version); only the small mutable
-// state — packed values, queue mask, trail and queue arenas — is
-// allocated here.
+// state — packed values and queue mask in one padded slab, trail and
+// queue arenas in another — is allocated here.
 func NewEngine(c *circuit.Circuit) *Engine {
 	n := c.NumGates()
+	words := cacheline.Slab[uint64]((n+31)/32, (n+63)/64)
+	arenas := cacheline.Slab[circuit.GateID](n, n)
 	return &Engine{
 		c:      c,
 		f:      c.Flat(),
-		val:    make([]uint64, (n+31)/32),
-		queued: make([]uint64, (n+63)/64),
-		trail:  make([]circuit.GateID, 0, n),
-		queue:  make([]circuit.GateID, 0, n),
+		val:    words[0],
+		queued: words[1],
+		trail:  arenas[0][:0],
+		queue:  arenas[1][:0],
 	}
 }
 

@@ -224,8 +224,8 @@ func Heuristic2Sort(c *Circuit) (InputSort, *Result, *Result, error) {
 }
 
 // Heuristic2SortWorkers is Heuristic2Sort with a worker budget: the two
-// Algorithm 3 passes run concurrently and internally parallel. The sort
-// is identical for every worker count.
+// Algorithm 3 passes run one after the other, each parallel across the
+// whole budget. The sort is identical for every worker count.
 func Heuristic2SortWorkers(c *Circuit, workers int) (InputSort, *Result, *Result, error) {
 	return core.Heuristic2SortWorkers(c, workers)
 }
